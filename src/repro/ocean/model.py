@@ -8,7 +8,9 @@ other part of the library consumes:
   (u, v, w, ζ) every ``snapshot_interval`` seconds, exactly like the
   decade-long half-hourly ROMS archive the paper trains on;
 * ``forecast`` — the fallback path of the hybrid workflow: advance a
-  given initial condition by one episode and return its snapshots;
+  given initial condition (or a stacked batch of them, see
+  :meth:`~repro.ocean.swe.ShallowWaterState.stack`) by one episode and
+  return its snapshots;
 * boundary-extraction helpers used to assemble surrogate inputs.
 
 Snapshot field layout matches the surrogate convention:
@@ -54,13 +56,17 @@ class OceanConfig:
 
 @dataclass
 class Snapshot:
-    """One output snapshot of the four learned variables."""
+    """One output snapshot of the four learned variables.
 
-    t: float
-    u3: np.ndarray      # (H, W, D)
-    v3: np.ndarray      # (H, W, D)
-    w3: np.ndarray      # (H, W, D)
-    zeta: np.ndarray    # (H, W)
+    A snapshot of a batched state carries the state's leading axes on
+    every field (and on ``t``).
+    """
+
+    t: float | np.ndarray
+    u3: np.ndarray      # (…, H, W, D)
+    v3: np.ndarray      # (…, H, W, D)
+    w3: np.ndarray      # (…, H, W, D)
+    zeta: np.ndarray    # (…, H, W)
 
 
 class RomsLikeModel:
@@ -83,7 +89,16 @@ class RomsLikeModel:
     # state → snapshot
     # ------------------------------------------------------------------
     def diagnose(self, state: ShallowWaterState) -> Snapshot:
-        """Build the (u, v, w, ζ) snapshot from a barotropic state."""
+        """Build the (u, v, w, ζ) snapshot from a barotropic state.
+
+        A batched state is diagnosed member by member and the snapshots
+        stacked along its leading axis.
+        """
+        if state.zeta.ndim > 2:
+            members = [self.diagnose(s) for s in state.unstack()]
+            return Snapshot(state.t, *(
+                np.stack([getattr(m, f) for m in members])
+                for f in ("u3", "v3", "w3", "zeta")))
         H = self.solver.total_depth(state.zeta)
         uc = self.grid.u_to_center(state.u)
         vc = self.grid.v_to_center(state.v)
@@ -142,7 +157,12 @@ class RomsLikeModel:
 
     def forecast(self, initial: ShallowWaterState, n_snapshots: int,
                  snapshot_interval: Optional[float] = None) -> List[Snapshot]:
-        """ROMS-style episode forecast (the hybrid workflow's fallback)."""
+        """ROMS-style episode forecast (the hybrid workflow's fallback).
+
+        ``initial`` may be a stacked state: all members advance in one
+        vectorised solver run and every snapshot carries the leading
+        batch axis.
+        """
         snaps, _ = self.simulate(initial.copy(), n_snapshots,
                                  snapshot_interval)
         return snaps

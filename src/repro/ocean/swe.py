@@ -21,12 +21,23 @@ Discretisation
 The stepper conserves water volume exactly (up to float64 round-off)
 in a closed basin — the invariant the paper's verification module
 checks on the AI side, and one of our property tests.
+
+Batching
+--------
+Every field may carry leading batch axes: ``zeta`` is ``(…, ny, nx)``,
+``u`` ``(…, ny, nx+1)``, ``v`` ``(…, ny+1, nx)`` and ``t`` a scalar or
+an array of shape ``(…)`` (one clock per member, so the tide is
+evaluated per member).  :meth:`ShallowWaterState.stack` builds such a
+state from single ones and :meth:`ShallowWaterState.unstack` splits it
+again.  A batched step applies the same element-wise operations in the
+same order as a single-state step, so every member is bitwise equal to
+stepping it alone; the single state is simply the unbatched case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -60,16 +71,31 @@ class SWEConfig:
 
 @dataclass
 class ShallowWaterState:
-    """Prognostic fields at one instant."""
+    """Prognostic fields at one instant (or one per batch member)."""
 
-    t: float
-    zeta: np.ndarray          # (ny, nx) free surface [m]
-    u: np.ndarray             # (ny, nx+1) east velocity at u faces [m/s]
-    v: np.ndarray             # (ny+1, nx) north velocity at v faces [m/s]
+    t: float | np.ndarray     # scalar, or (…) for a batched state
+    zeta: np.ndarray          # (…, ny, nx) free surface [m]
+    u: np.ndarray             # (…, ny, nx+1) east velocity at u faces [m/s]
+    v: np.ndarray             # (…, ny+1, nx) north velocity at v faces [m/s]
 
     def copy(self) -> "ShallowWaterState":
         return ShallowWaterState(self.t, self.zeta.copy(),
                                  self.u.copy(), self.v.copy())
+
+    @staticmethod
+    def stack(states: Sequence["ShallowWaterState"]) -> "ShallowWaterState":
+        """One batched state whose leading axis runs over ``states``."""
+        return ShallowWaterState(
+            np.array([s.t for s in states], dtype=np.float64),
+            np.stack([s.zeta for s in states]),
+            np.stack([s.u for s in states]),
+            np.stack([s.v for s in states]))
+
+    def unstack(self) -> List["ShallowWaterState"]:
+        """Split a batched state along its leading axis (copies)."""
+        return [ShallowWaterState(self.t[k], self.zeta[k].copy(),
+                                  self.u[k].copy(), self.v[k].copy())
+                for k in range(len(self.zeta))]
 
 
 class ShallowWaterSolver:
@@ -170,12 +196,16 @@ class ShallowWaterSolver:
         Hu, Hv = self._face_depths(state.zeta)
         fx = Hu * state.u
         fy = Hv * state.v
-        fx[~self.u_open] = 0.0
-        fy[~self.v_open] = 0.0
+        fx[..., ~self.u_open] = 0.0
+        fy[..., ~self.v_open] = 0.0
         return fx, fy
 
     def step(self, state: ShallowWaterState) -> ShallowWaterState:
-        """Advance one barotropic time step (forward-backward)."""
+        """Advance one barotropic time step (forward-backward).
+
+        ``state`` may be batched (see the module docstring); every
+        member advances by the same ``dt`` from its own ``t``.
+        """
         g = GRAVITY
         f = self.cfg.coriolis_f
         dt = self.dt
@@ -188,14 +218,15 @@ class ShallowWaterSolver:
         zeta_new = state.zeta - dt * div
         # river discharge enters through the northern edge
         if self.river_cell_discharge > 0.0:
-            zeta_new[self.river_mask] += (
+            zeta_new[..., self.river_mask] += (
                 dt * self.river_cell_discharge / grid.area[self.river_mask])
-        zeta_new[~self.wet] = 0.0
+        zeta_new[..., ~self.wet] = 0.0
 
         # ---- open-boundary nudging to the tide --------------------------
         if self.forcing is not None:
+            t_new = np.asarray(state.t + dt)[..., None]
             tide = self.forcing.elevation(
-                state.t + dt, self.grid.y_axis.centers)[:, None]
+                t_new, self.grid.y_axis.centers)[..., None]
             zeta_new = zeta_new + self.sponge * (tide - zeta_new)
 
         # ---- momentum (uses ζⁿ⁺¹: the "backward" part) -------------------
@@ -222,51 +253,57 @@ class ShallowWaterSolver:
 
         u_new = state.u + dt * du
         v_new = state.v + dt * dv
-        u_new[~self.u_open] = 0.0
-        v_new[~self.v_open] = 0.0
+        u_new[..., ~self.u_open] = 0.0
+        v_new[..., ~self.v_open] = 0.0
         # zero-gradient outflow at the open west faces keeps the boundary
         # transparent to the nudged surface signal
-        u_new[:, 0] = np.where(self.west_outflow, u_new[:, 1], u_new[:, 0])
+        u_new[..., 0] = np.where(self.west_outflow, u_new[..., 1],
+                                 u_new[..., 0])
 
         return ShallowWaterState(state.t + dt, zeta_new, u_new, v_new)
 
     # ------------------------------------------------------------------
     # stencil helpers
     # ------------------------------------------------------------------
+    # Every helper indexes the two trailing (grid) axes only, so leading
+    # batch axes pass through; metric arrays broadcast against them.
     def _v_at_u(self, v: np.ndarray) -> np.ndarray:
         ny, nx = self.grid.ny, self.grid.nx
-        vc = 0.5 * (v[:-1, :] + v[1:, :])                  # v at centres
-        out = np.zeros((ny, nx + 1))
-        out[:, 1:-1] = 0.5 * (vc[:, :-1] + vc[:, 1:])
-        out[:, 0] = vc[:, 0]
-        out[:, -1] = vc[:, -1]
+        vc = 0.5 * (v[..., :-1, :] + v[..., 1:, :])        # v at centres
+        out = np.zeros(v.shape[:-2] + (ny, nx + 1))
+        out[..., 1:-1] = 0.5 * (vc[..., :-1] + vc[..., 1:])
+        out[..., 0] = vc[..., 0]
+        out[..., -1] = vc[..., -1]
         return out
 
     def _u_at_v(self, u: np.ndarray) -> np.ndarray:
         ny, nx = self.grid.ny, self.grid.nx
-        uc = 0.5 * (u[:, :-1] + u[:, 1:])                  # u at centres
-        out = np.zeros((ny + 1, nx))
-        out[1:-1, :] = 0.5 * (uc[:-1, :] + uc[1:, :])
-        out[0, :] = uc[0, :]
-        out[-1, :] = uc[-1, :]
+        uc = 0.5 * (u[..., :-1] + u[..., 1:])              # u at centres
+        out = np.zeros(u.shape[:-2] + (ny + 1, nx))
+        out[..., 1:-1, :] = 0.5 * (uc[..., :-1, :] + uc[..., 1:, :])
+        out[..., 0, :] = uc[..., 0, :]
+        out[..., -1, :] = uc[..., -1, :]
         return out
 
     def _laplacian_u(self, u: np.ndarray) -> np.ndarray:
         out = np.zeros_like(u)
         dx = self.grid.dxu
-        out[:, 1:-1] += (u[:, 2:] - 2 * u[:, 1:-1] + u[:, :-2]) / dx[:, 1:-1] ** 2
-        dyc = np.broadcast_to(self.grid.y_axis.spacing[:, None], u.shape)
-        out[1:-1, :] += (u[2:, :] - 2 * u[1:-1, :] + u[:-2, :]) / dyc[1:-1, :] ** 2
-        out[~self.u_open] = 0.0
+        dyc = self.grid.y_axis.spacing[:, None]
+        out[..., 1:-1] += (u[..., 2:] - 2 * u[..., 1:-1] + u[..., :-2]) \
+            / dx[:, 1:-1] ** 2
+        out[..., 1:-1, :] += (u[..., 2:, :] - 2 * u[..., 1:-1, :]
+                              + u[..., :-2, :]) / dyc[1:-1] ** 2
+        out[..., ~self.u_open] = 0.0
         return out
 
     def _laplacian_v(self, v: np.ndarray) -> np.ndarray:
         out = np.zeros_like(v)
-        dxc = np.broadcast_to(self.grid.x_axis.spacing[None, :], v.shape)
-        out[:, 1:-1] += (v[:, 2:] - 2 * v[:, 1:-1] + v[:, :-2]) / dxc[:, 1:-1] ** 2
-        out[1:-1, :] += (v[2:, :] - 2 * v[1:-1, :] + v[:-2, :]) / \
-            self.grid.dyv[1:-1, :] ** 2
-        out[~self.v_open] = 0.0
+        dxc = self.grid.x_axis.spacing
+        out[..., 1:-1] += (v[..., 2:] - 2 * v[..., 1:-1] + v[..., :-2]) \
+            / dxc[1:-1] ** 2
+        out[..., 1:-1, :] += (v[..., 2:, :] - 2 * v[..., 1:-1, :]
+                              + v[..., :-2, :]) / self.grid.dyv[1:-1, :] ** 2
+        out[..., ~self.v_open] = 0.0
         return out
 
     def _upwind_advect_u(self, u: np.ndarray, v_at_u: np.ndarray) -> np.ndarray:
@@ -275,16 +312,16 @@ class ShallowWaterSolver:
         dx = self.grid.dxu
         dudx_m = np.zeros_like(u)
         dudx_p = np.zeros_like(u)
-        dudx_m[:, 1:] = (u[:, 1:] - u[:, :-1]) / dx[:, 1:]
-        dudx_p[:, :-1] = (u[:, 1:] - u[:, :-1]) / dx[:, 1:]
+        dudx_m[..., 1:] = (u[..., 1:] - u[..., :-1]) / dx[:, 1:]
+        dudx_p[..., :-1] = (u[..., 1:] - u[..., :-1]) / dx[:, 1:]
         adv += np.where(u > 0, u * dudx_m, u * dudx_p)
-        dyc = np.broadcast_to(self.grid.y_axis.spacing[:, None], u.shape)
+        dyc = self.grid.y_axis.spacing[:, None]
         dudy_m = np.zeros_like(u)
         dudy_p = np.zeros_like(u)
-        dudy_m[1:, :] = (u[1:, :] - u[:-1, :]) / dyc[1:, :]
-        dudy_p[:-1, :] = (u[1:, :] - u[:-1, :]) / dyc[1:, :]
+        dudy_m[..., 1:, :] = (u[..., 1:, :] - u[..., :-1, :]) / dyc[1:]
+        dudy_p[..., :-1, :] = (u[..., 1:, :] - u[..., :-1, :]) / dyc[1:]
         adv += np.where(v_at_u > 0, v_at_u * dudy_m, v_at_u * dudy_p)
-        adv[~self.u_open] = 0.0
+        adv[..., ~self.u_open] = 0.0
         return adv
 
     def _upwind_advect_v(self, v: np.ndarray, u_at_v: np.ndarray) -> np.ndarray:
@@ -292,16 +329,16 @@ class ShallowWaterSolver:
         dy = self.grid.dyv
         dvdy_m = np.zeros_like(v)
         dvdy_p = np.zeros_like(v)
-        dvdy_m[1:, :] = (v[1:, :] - v[:-1, :]) / dy[1:, :]
-        dvdy_p[:-1, :] = (v[1:, :] - v[:-1, :]) / dy[1:, :]
+        dvdy_m[..., 1:, :] = (v[..., 1:, :] - v[..., :-1, :]) / dy[1:, :]
+        dvdy_p[..., :-1, :] = (v[..., 1:, :] - v[..., :-1, :]) / dy[1:, :]
         adv += np.where(v > 0, v * dvdy_m, v * dvdy_p)
-        dxc = np.broadcast_to(self.grid.x_axis.spacing[None, :], v.shape)
+        dxc = self.grid.x_axis.spacing
         dvdx_m = np.zeros_like(v)
         dvdx_p = np.zeros_like(v)
-        dvdx_m[:, 1:] = (v[:, 1:] - v[:, :-1]) / dxc[:, 1:]
-        dvdx_p[:, :-1] = (v[:, 1:] - v[:, :-1]) / dxc[:, 1:]
+        dvdx_m[..., 1:] = (v[..., 1:] - v[..., :-1]) / dxc[1:]
+        dvdx_p[..., :-1] = (v[..., 1:] - v[..., :-1]) / dxc[1:]
         adv += np.where(u_at_v > 0, u_at_v * dvdx_m, u_at_v * dvdx_p)
-        adv[~self.v_open] = 0.0
+        adv[..., ~self.v_open] = 0.0
         return adv
 
     # ------------------------------------------------------------------

@@ -64,8 +64,13 @@ class TidalForcing:
         self.constituents = tuple(constituents)
         self.delay = alongshore_delay_s_per_m
 
-    def elevation(self, t: float, y: np.ndarray | float = 0.0) -> np.ndarray:
-        """Boundary elevation at time ``t`` [s] and alongshore coord ``y`` [m]."""
+    def elevation(self, t: np.ndarray | float,
+                  y: np.ndarray | float = 0.0) -> np.ndarray:
+        """Boundary elevation at time ``t`` [s] and alongshore coord ``y`` [m].
+
+        ``t`` and ``y`` broadcast against each other: a ``(B, 1)`` array
+        of times against ``(ny,)`` positions gives ``(B, ny)``.
+        """
         tt = np.asarray(t, dtype=np.float64) - self.delay * np.asarray(y)
         out = np.zeros_like(tt, dtype=np.float64)
         for c in self.constituents:

@@ -9,10 +9,11 @@ For every forecast episode the workflow:
 
 :meth:`HybridWorkflow.run_many` serves many scenarios at once: at each
 episode index the surrogate passes of all still-active scenarios run
-in ONE batched model forward and the verification gate is evaluated in
-one vectorised residual pass; only failed scenarios fall back to the
-(inherently serial) solver individually.  :meth:`HybridWorkflow.run`
-is the single-scenario special case.
+in ONE batched model forward, the verification gate is evaluated in
+one vectorised residual pass, and the scenarios that fail it fall back
+together: their solver states are stacked and advanced in ONE
+vectorised solver call.  :meth:`HybridWorkflow.run` is the
+single-scenario special case.
 
 The report accounts both *measured* wall-clock on this machine and
 *modelled* paper-scale timing (through
@@ -38,7 +39,13 @@ __all__ = ["EpisodeReport", "WorkflowReport", "HybridWorkflow"]
 
 @dataclass
 class EpisodeReport:
-    """Outcome of one episode of the hybrid loop."""
+    """Outcome of one episode of the hybrid loop.
+
+    ``fallback_seconds`` is this episode's share of the batched solver
+    call it took part in: the call's wall time divided by the number of
+    episodes it advanced, so the shares of one call sum to its wall
+    time.  It is 0 for an episode that passed the gate.
+    """
 
     index: int
     verification: VerificationResult
@@ -98,11 +105,12 @@ class HybridWorkflow:
         quality gate.
     fallback_pool: optional executor with
         ``submit(fn, *args) -> future`` (e.g.
-        :class:`concurrent.futures.ThreadPoolExecutor`).  When set,
-        solver fallbacks of an episode index are dispatched out-of-band
-        and run concurrently with each other instead of serially in the
-        episode loop; results are identical (the solver is
-        deterministic and each scenario's chain is preserved).
+        :class:`concurrent.futures.ThreadPoolExecutor`).  When set, the
+        one batched solver call of each episode index is submitted to
+        it as a single job and the episode loop waits for it, so solver
+        work runs on the pool's threads (a server bounds solver
+        concurrency this way); results are identical to running the
+        call in the loop.
     """
 
     def __init__(self, forecaster: SurrogateForecaster,
@@ -146,7 +154,7 @@ class HybridWorkflow:
         given episode index the scenarios are independent — so their
         surrogate passes share one batched forward and one vectorised
         batch verification.  Scenarios whose episode fails the gate
-        fall back to the solver individually.
+        fall back together in one batched solver call.
 
         Parameters
         ----------
@@ -204,15 +212,19 @@ class HybridWorkflow:
                 [r.fields.u3 for r in results],
                 [r.fields.v3 for r in results], threshold)
 
-            # gate first, then dispatch every failed scenario's solver
-            # run; with a pool the fallbacks of this episode index run
-            # concurrently (out-of-band) instead of serially here
-            jobs = {}
-            if self.fallback_pool is not None:
-                for i, ver in zip(active, vers):
-                    if not ver.passed:
-                        jobs[i] = self.fallback_pool.submit(
-                            self._run_fallback, fallback_states[i][ep], T)
+            # gate first, then advance every failed scenario of this
+            # episode index in one batched solver call (on the pool if
+            # one is set); each member's time is an equal share of it
+            failed = [i for i, ver in zip(active, vers) if not ver.passed]
+            if failed:
+                stacked = ShallowWaterState.stack(
+                    [fallback_states[i][ep] for i in failed])
+                if self.fallback_pool is not None:
+                    snaps, seconds = self.fallback_pool.submit(
+                        self._run_fallback, stacked, T).result()
+                else:
+                    snaps, seconds = self._run_fallback(stacked, T)
+                share = seconds / len(failed)
 
             for i, ref, result, ver in zip(active, refs, results, vers):
                 fallback_seconds = 0.0
@@ -220,10 +232,9 @@ class HybridWorkflow:
                     fields = result.fields
                     used_fallback = False
                 else:
-                    snaps, fallback_seconds = jobs[i].result() \
-                        if i in jobs \
-                        else self._run_fallback(fallback_states[i][ep], T)
-                    fields = self._snaps_to_window(ref, snaps)
+                    fields = self._snaps_to_window(ref, snaps,
+                                                   failed.index(i))
+                    fallback_seconds = share
                     used_fallback = True
 
                 pieces[i].append(fields)
@@ -239,22 +250,18 @@ class HybridWorkflow:
     # ------------------------------------------------------------------
     def _run_fallback(self, state: ShallowWaterState, T: int
                       ) -> Tuple[Sequence[Snapshot], float]:
-        """One solver fallback episode; wall-clock measured where it runs."""
+        """One batched solver call; wall-clock measured where it runs."""
         t0 = time.perf_counter()
         snaps = self.ocean.forecast(state, T - 1)
         return snaps, time.perf_counter() - t0
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _snaps_to_window(ref: FieldWindow,
-                         snaps: Sequence[Snapshot]) -> FieldWindow:
-        """IC snapshot followed by the solver's T−1 forecast snapshots."""
-        u3 = np.concatenate(
-            [ref.u3[:1], np.stack([s.u3 for s in snaps])], axis=0)
-        v3 = np.concatenate(
-            [ref.v3[:1], np.stack([s.v3 for s in snaps])], axis=0)
-        w3 = np.concatenate(
-            [ref.w3[:1], np.stack([s.w3 for s in snaps])], axis=0)
-        zeta = np.concatenate(
-            [ref.zeta[:1], np.stack([s.zeta for s in snaps])], axis=0)
-        return FieldWindow(u3, v3, w3, zeta)
+    def _snaps_to_window(ref: FieldWindow, snaps: Sequence[Snapshot],
+                         member: int) -> FieldWindow:
+        """IC snapshot followed by batch ``member``'s T−1 forecast
+        snapshots."""
+        return FieldWindow(**{
+            var: np.concatenate([getattr(ref, var)[:1], np.stack(
+                [getattr(s, var)[member] for s in snaps])], axis=0)
+            for var in ("u3", "v3", "w3", "zeta")})

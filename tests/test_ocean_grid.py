@@ -105,6 +105,17 @@ class TestGridOperators:
     def test_min_spacing(self, grid):
         assert grid.min_spacing <= grid.x_axis.spacing.min() + 1e-12
 
+    @pytest.mark.parametrize("op", ["ddx_at_u", "ddy_at_v",
+                                    "center_to_u", "center_to_v"])
+    def test_leading_axes_match_per_member(self, grid, op):
+        """A batched centre field gives, member by member, exactly the
+        single-field result (the batched solver relies on this)."""
+        c = np.random.default_rng(3).normal(size=(2, 3, grid.ny, grid.nx))
+        fn = getattr(grid, op)
+        out = fn(c)
+        for idx in np.ndindex(2, 3):
+            assert np.array_equal(out[idx], fn(c[idx]))
+
 
 class TestCharlotteGrid:
     def test_default_dimensions(self):

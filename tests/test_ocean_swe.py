@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ocean import (
+    OceanConfig,
+    RomsLikeModel,
     SWEConfig,
     ShallowWaterSolver,
+    ShallowWaterState,
     TidalForcing,
     cfl_number,
     energy,
@@ -203,3 +206,73 @@ class TestBathymetry:
         g = make_charlotte_grid(20, 20, 2e4, 2e4)
         np.testing.assert_array_equal(synth_estuary_bathymetry(g),
                                       synth_estuary_bathymetry(g))
+
+
+class TestBatchedStepping:
+    """A stacked state steps exactly as its members do one by one."""
+
+    @staticmethod
+    def _members(solver, rng, n=3):
+        out = []
+        for k in range(n):
+            # distinct clocks, so each member sees its own tide
+            s = solver.initial_state(t0=1_234.5 * k)
+            s.zeta[solver.wet] += 0.05 * rng.normal(
+                size=int(solver.wet.sum()))
+            s.u[solver.u_open] = 0.1 * rng.normal(
+                size=int(solver.u_open.sum()))
+            s.v[solver.v_open] = 0.1 * rng.normal(
+                size=int(solver.v_open.sum()))
+            out.append(s)
+        return out
+
+    def test_tide_broadcasts_per_member(self):
+        tide = TidalForcing()
+        t = np.array([0.0, 5_000.0, 12_345.0])
+        y = np.linspace(0.0, 20_000.0, 7)
+        batched = tide.elevation(t[:, None], y)
+        assert batched.shape == (3, 7)
+        for k in range(3):
+            assert np.array_equal(batched[k], tide.elevation(t[k], y))
+
+    def test_stack_unstack_roundtrip(self, forced_solver, rng):
+        members = self._members(forced_solver, rng)
+        stacked = ShallowWaterState.stack(members)
+        assert stacked.zeta.shape == (3,) + members[0].zeta.shape
+        assert stacked.t.shape == (3,)
+        for a, b in zip(stacked.unstack(), members):
+            assert a.t == b.t
+            for f in ("zeta", "u", "v"):
+                assert np.array_equal(getattr(a, f), getattr(b, f))
+
+    @pytest.mark.parametrize("advection", [False, True])
+    def test_step_matches_per_member(self, rng, advection):
+        g = make_charlotte_grid(14, 15, 14_000.0, 15_000.0)
+        h = synth_estuary_bathymetry(g)
+        solver = ShallowWaterSolver(
+            g, h, TidalForcing(),
+            SWEConfig(advection=advection, river_discharge=500.0))
+        assert solver.river_mask.any()
+        members = self._members(solver, rng)
+        batched = ShallowWaterState.stack(members)
+        for _ in range(60):
+            batched = solver.step(batched)
+            members = [solver.step(s) for s in members]
+        for a, b in zip(batched.unstack(), members):
+            assert a.t == b.t
+            for f in ("zeta", "u", "v"):
+                assert np.array_equal(getattr(a, f), getattr(b, f))
+
+    def test_forecast_matches_per_member(self):
+        ocean = RomsLikeModel(OceanConfig(nx=14, ny=15, nz=6,
+                                          length_x=14_000.0,
+                                          length_y=15_000.0))
+        spun = ocean.spinup(duration=3 * 3600.0)
+        _, states, _ = ocean.simulate_with_states(spun, 4, every=2)
+        batched = ocean.forecast(ShallowWaterState.stack(states), 2)
+        for k, state in enumerate(states):
+            for sb, sd in zip(batched, ocean.forecast(state, 2)):
+                assert sb.t[k] == sd.t
+                for f in ("u3", "v3", "w3", "zeta"):
+                    assert np.array_equal(getattr(sb, f)[k],
+                                          getattr(sd, f))

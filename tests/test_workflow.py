@@ -288,3 +288,34 @@ class TestHybridRunManyMixed:
             assert [e.used_fallback for e in rs.episodes] == \
                 [e.used_fallback for e in rp.episodes]
             assert rs.pass_rate == rp.pass_rate
+
+    @pytest.mark.parametrize("pooled", [False, True])
+    def test_batched_fallbacks_equal_per_scenario_forecasts(
+            self, trained_forecaster, ocean, reference, pooled):
+        """Each failed (scenario, episode) slot holds, bitwise, the
+        output of its own ``ocean.forecast`` run, though the fallbacks
+        of one episode index share one batched solver call."""
+        window, states = reference
+        T = 4
+        # distinct solver states per scenario, so batch members differ
+        scen_states = [states, states[::-1]]
+        verifier = ScriptedVerifier(
+            Verifier(ocean.grid, ocean.depth, dt=1800.0), self.SCRIPT)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            workflow = HybridWorkflow(trained_forecaster, ocean, verifier,
+                                      fallback_pool=pool if pooled else None)
+            outs = workflow.run_many([window, window], scen_states)
+        for (fields, report), sts in zip(outs, scen_states):
+            for ep in report.episodes:
+                if not ep.used_fallback:
+                    continue
+                snaps = ocean.forecast(sts[ep.index], T - 1)
+                sl = slice(ep.index * T + 1, (ep.index + 1) * T)
+                for var in ("u3", "v3", "w3", "zeta"):
+                    assert np.array_equal(
+                        getattr(fields, var)[sl],
+                        np.stack([getattr(s, var) for s in snaps]))
+        # episode 3 failed in both scenarios: one call, equal shares
+        (_, rep0), (_, rep1) = outs
+        assert rep0.episodes[3].fallback_seconds == \
+            rep1.episodes[3].fallback_seconds > 0
