@@ -19,16 +19,19 @@ uncertainty quantification", §I):
   large-mesh regime is exactly where batching pays most.)
 * **Compiled vs eager** (serving batch sizes 1..8): the compiled plan
   must be bitwise-identical to the eager forward, allocate strictly
-  less per call, and — on hosts with ≥ 2 cores, where the plan's
-  chunked elementwise replay engages — clear ≥ 1.3× throughput at the
-  serving micro-batch size.  A single-core host measures the pure
-  dispatch/allocation win honestly and does not arm the speed gate
-  (same policy as ``bench_serving.py``).  Since the plan-IR passes
-  (``repro.tensor.plan_passes``) the compiled column replays the
-  *fused* plan; an ``optimize_plans=False`` engine provides the
-  unfused column so the fusion win is its own number, and the pass
-  statistics (steps folded/fused/eliminated, arena bytes) land in the
-  JSON record as ``plan_pass_stats``.
+  less per call, and — on hosts with ≥ 2 cores — clear ≥ 1.3×
+  throughput at the serving micro-batch size.  The plan replays the
+  same kernels serially on the calling thread; what it saves is
+  per-op dispatch (no Tensor wrapping or autograd bookkeeping),
+  allocation (outputs land in a liveness-packed arena) and, through
+  fusion, whole kernel calls.  A single-core host does not arm the
+  speed gate (same policy as ``bench_serving.py``).  Throughputs are
+  recorded best-of and as p50/p90 over the timed repeats.  Since the
+  plan-IR passes (``repro.tensor.plan_passes``) the compiled column
+  replays the *fused* plan; an ``optimize_plans=False`` engine
+  provides the unfused column so the fusion win is its own number,
+  and the pass statistics (steps folded/fused/eliminated, arena
+  bytes) land in the JSON record as ``plan_pass_stats``.
 * **Bucketed partial batches**: a mixed-size request stream through an
   engine warmed with ``compile_buckets`` must hit a compiled plan for
   *every* batch (hit rate 1.0 — the eager-fallback bug this sweep
@@ -194,14 +197,15 @@ def _serving_windows(n, seed=0):
             for _ in range(n)]
 
 
-def _best_of(fn, repeats):
+def _timed_repeats(fn, repeats):
+    """Wall clock of every one of ``repeats`` calls, after a warm-up."""
     fn()                                     # warm-up
-    best = float("inf")
+    times = []
     for _ in range(repeats):
         t0 = time.perf_counter()
         fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
+        times.append(time.perf_counter() - t0)
+    return times
 
 
 def _tracemalloc_peak(fn):
@@ -244,9 +248,13 @@ def run_compiled_sweep(batches=(1, 2, 4, 8), repeats=5, quick=False):
                         and np.array_equal(getattr(a.fields, var),
                                            getattr(c.fields, var))):
                     out["bitwise_equal"] = False
-        t_eager = _best_of(lambda: eager.forecast_batch(windows), repeats)
-        t_comp = _best_of(lambda: compiled.forecast_batch(windows), repeats)
-        t_unf = _best_of(lambda: unfused.forecast_batch(windows), repeats)
+        ts_eager = _timed_repeats(lambda: eager.forecast_batch(windows),
+                                  repeats)
+        ts_comp = _timed_repeats(lambda: compiled.forecast_batch(windows),
+                                 repeats)
+        t_eager, t_comp = min(ts_eager), min(ts_comp)
+        t_unf = min(_timed_repeats(lambda: unfused.forecast_batch(windows),
+                                   repeats))
         peak_eager = _tracemalloc_peak(
             lambda: eager.forecast_batch(windows))
         peak_comp = _tracemalloc_peak(
@@ -258,6 +266,11 @@ def run_compiled_sweep(batches=(1, 2, 4, 8), repeats=5, quick=False):
             "unfused_eps": n / t_unf,
             "speedup": t_eager / t_comp,
             "fused_speedup": t_unf / t_comp,
+            # throughput at the median / 90th-percentile call time (the
+            # p90 key is the slow tail, not the fast one)
+            "eager_eps_p50": n / np.percentile(ts_eager, 50),
+            "compiled_eps_p50": n / np.percentile(ts_comp, 50),
+            "compiled_eps_p90": n / np.percentile(ts_comp, 90),
             "eager_peak_bytes": peak_eager,
             "compiled_peak_bytes": peak_comp,
             "arena_bytes": plan.arena_bytes(),
@@ -466,8 +479,9 @@ def _check_compiled_sweep(sweep, quick=False):
         print(f"NOTE: quick mode — ≥1.3x speedup gate not armed "
               f"(measured {speedup:.2f}x at batch {top})")
     elif cores < 2:
-        # the plan's chunked elementwise replay needs a second core;
-        # a single-core host measures only the dispatch/allocation win
+        # the plan saves dispatch, allocation and fused kernel calls;
+        # one core shared with the harness measures that saving too
+        # noisily to hold it to a fixed ratio
         print(f"NOTE: host has 1 CPU core — the ≥1.3x compiled speedup "
               f"gate is not armed (measured {speedup:.2f}x at "
               f"batch {top})")
@@ -555,7 +569,8 @@ def main(argv=None) -> int:
         # gates proc_pool_sat_qps
         "gate": {"higher_better": [f"compiled_eps_b{top}",
                                    f"fused_eps_b{top}",
-                                   "bucket_hit_rate"]},
+                                   "bucket_hit_rate",
+                                   f"compiled_eps_p50_b{top}"]},
     }
     out_path = Path(args.out) if args.out else \
         Path(__file__).resolve().parent.parent / "BENCH_inference.json"

@@ -234,7 +234,7 @@ class MLP(Module):
 # verbatim (same in-place NumPy chains, arena buffer as the working
 # buffer), so compiled forwards are bitwise identical to eager ones
 # ----------------------------------------------------------------------
-@_plan.register_kernel("gelu", "compute", rowwise=True)
+@_plan.register_kernel("gelu", "compute")
 def _k_gelu(out, ins, consts):
     a = ins[0]
     y = np.multiply(a, np.float32(1.0 / np.sqrt(2.0)), out=out)
@@ -245,7 +245,7 @@ def _k_gelu(out, ins, consts):
     return y
 
 
-@_plan.register_kernel("layernorm", "compute", rowwise=True)
+@_plan.register_kernel("layernorm", "compute")
 def _k_layernorm(out, ins, consts):
     a, w, b = ins
     y = np.subtract(a, a.mean(axis=-1, keepdims=True), out=out)
@@ -258,7 +258,7 @@ def _k_layernorm(out, ins, consts):
     return y
 
 
-@_plan.register_kernel("bn_affine", "compute", rowwise=True)
+@_plan.register_kernel("bn_affine", "compute")
 def _k_bn_affine(out, ins, consts):
     y = np.multiply(ins[0], consts["scale"], out=out)
     y += consts["shift"]

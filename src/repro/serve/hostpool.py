@@ -83,21 +83,17 @@ class HostWorkerDied(ProcessWorkerDied):
 # ----------------------------------------------------------------------
 def _build_engine(payload: dict):
     """Rebuild a ForecastEngine from an unpickled worker payload —
-    the exact weights plus every shipped (and reduced) plan."""
+    the exact weights plus every shipped plan."""
     from ..workflow.engine import CompiledForward, ForecastEngine
 
     engine = ForecastEngine(
         payload["model"], payload["normalizer"],
         payload["boundary_width"],
         optimize_plans=payload.get("optimize_plans", True),
-        bucket_partial=payload.get("bucket_partial", True),
-        serve_reduced=payload.get("serve_reduced", False))
+        bucket_partial=payload.get("bucket_partial", True))
     for plan in payload["plans"].values():
         key = plan.slots[plan.inputs[0]].shape
         engine._plans[key] = CompiledForward(plan, engine._arena)
-    for plan in payload.get("reduced", {}).values():
-        key = plan.slots[plan.inputs[0]].shape
-        engine._reduced[key] = CompiledForward(plan, engine._arena)
     return engine
 
 
@@ -165,7 +161,6 @@ def _serve_endpoint(ep, engine, heartbeat_s: float) -> None:
                         "secs": [r.inference_seconds for r in results],
                         "compiled": [r.compiled for r in results],
                         "plan_batches": [r.plan_batch for r in results],
-                        "reduced": [r.reduced for r in results],
                     }, out))
                 elif frame.op == "compile":
                     engine.compile(frame.meta["batch"])
@@ -289,8 +284,6 @@ class HostWorker:
         (and deadline-based death detection with them).
     death_timeout: seconds of radio silence before the worker is
         declared dead (default ``4 × heartbeat_s``).
-    serve_reduced: route to installed reduced-precision plan variants
-        on the remote engine (accuracy-gated, not bitwise).
     request_timeout: optional per-request ceiling for the synchronous
         calls (``forecast_batch``/``compile``/``plan_stats``).
     """
@@ -301,8 +294,7 @@ class HostWorker:
                  on_death: Optional[Callable[["HostWorker"], None]] = None,
                  request_timeout: Optional[float] = None,
                  heartbeat_s: float = 2.0,
-                 death_timeout: Optional[float] = None,
-                 serve_reduced: bool = False):
+                 death_timeout: Optional[float] = None):
         if fabric not in ("socket", "sim"):
             raise ValueError(
                 f"unknown fabric {fabric!r}: expected 'socket' or 'sim'")
@@ -338,20 +330,13 @@ class HostWorker:
                       | set(getattr(engine, "compiled_batches", None) or []))
         plans = {b: engine.compile(b).plan for b in warm}
         self._compiled = set(warm)
-        reduced = {}
-        if hasattr(engine, "_reduced"):
-            with engine._plan_lock:
-                reduced = {k[0]: cf.plan
-                           for k, cf in engine._reduced.items()}
         payload = pickle.dumps({
             "model": engine.model,
             "normalizer": engine.normalizer,
             "boundary_width": engine.boundary_width,
             "optimize_plans": getattr(engine, "optimize_plans", True),
             "bucket_partial": getattr(engine, "bucket_partial", True),
-            "serve_reduced": bool(serve_reduced),
             "plans": plans,
-            "reduced": reduced,
         }, protocol=pickle.HIGHEST_PROTOCOL)
         self.payload_bytes = len(payload)
 
@@ -646,8 +631,7 @@ class HostWorker:
                 results.append(ForecastResult(
                     fields, meta["secs"][i],
                     compiled=meta["compiled"][i],
-                    plan_batch=meta["plan_batches"][i],
-                    reduced=meta["reduced"][i]))
+                    plan_batch=meta["plan_batches"][i]))
             elapsed = time.perf_counter() - handle.t0
             with self._state_lock:
                 self.batches += 1

@@ -449,12 +449,6 @@ class PoolMetrics:
         return max((m.inflight_depth for m in self.per_worker), default=0)
 
     @property
-    def reduced_batches(self) -> int:
-        """Micro-batches served by an accuracy-gated reduced-precision
-        plan variant (``serve_reduced=True`` routing)."""
-        return sum(m.reduced_batches for m in self.per_worker)
-
-    @property
     def grad_batches(self) -> int:
         """Micro-batches that ran the adjoint path across all replicas
         (thread backend only — other backends reject gradients)."""
@@ -527,7 +521,6 @@ class PoolMetrics:
             "net_wait_s": self.net_wait_s,
             "frame_bytes": self.frame_bytes,
             "inflight_depth": self.inflight_depth,
-            "reduced_batches": self.reduced_batches,
             "grad_batches": self.grad_batches,
             "backward_seconds": self.backward_seconds,
             "spawn_seconds_mean": self._pool.mean_spawn_seconds,
@@ -586,11 +579,6 @@ class EngineWorkerPool:
     fabric: host-backend transport — ``"socket"`` (real TCP loopback
         wire) or ``"sim"`` (deterministic in-process fabric with
         SimComm byte accounting).  Ignored by other backends.
-    serve_reduced: route batches to installed accuracy-gated
-        reduced-precision plan variants
-        (:meth:`~repro.workflow.engine.ForecastEngine.compile_reduced`)
-        instead of the exact plans.  Off by default — results stay
-        bitwise-identical unless this is explicitly turned on.
 
     Thread safety: :meth:`submit` and :meth:`forecast_batch` may be
     called from any number of client threads; routing state is guarded
@@ -607,7 +595,7 @@ class EngineWorkerPool:
                  router: Union[str, Router] = "least-outstanding",
                  autostart: bool = True, warm_plans: bool = False,
                  backend: str = "thread", mp_context: str = "spawn",
-                 fabric: str = "socket", serve_reduced: bool = False):
+                 fabric: str = "socket"):
         if hasattr(engines, "forecast_batch"):
             engines = [engines]
         engines = list(engines)
@@ -649,7 +637,6 @@ class EngineWorkerPool:
         self.backend = backend
         self._mp_context = mp_context
         self._fabric = fabric
-        self._serve_reduced = bool(serve_reduced)
         self._spawn_log: List[float] = []
         distinct = []
         for e in engines:
@@ -932,8 +919,7 @@ class EngineWorkerPool:
                 engine,
                 warm_batches=_passes.plan_buckets(self._max_batch)
                 if warm else (),
-                mp_context=self._mp_context,
-                serve_reduced=self._serve_reduced)
+                mp_context=self._mp_context)
             with self._route_lock:
                 self._spawn_log.append(executor.spawn_seconds)
         elif self.backend == "host":
@@ -941,13 +927,9 @@ class EngineWorkerPool:
                 engine, fabric=self._fabric,
                 warm_batches=_passes.plan_buckets(self._max_batch)
                 if warm else (),
-                mp_context=self._mp_context,
-                serve_reduced=self._serve_reduced)
+                mp_context=self._mp_context)
             with self._route_lock:
                 self._spawn_log.append(executor.spawn_seconds)
-        elif self._serve_reduced and hasattr(engine, "serve_reduced"):
-            # thread backend: the engine itself routes
-            engine.serve_reduced = True
         scheduler = MicroBatchScheduler(
             executor, max_batch=self._max_batch, max_wait=self._max_wait,
             autostart=not self._manual, warm_plans=warm)

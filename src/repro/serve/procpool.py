@@ -297,10 +297,8 @@ def _child_main(conn, payload_bytes: bytes) -> None:
         payload["model"], payload["normalizer"],
         payload["boundary_width"],
         optimize_plans=payload.get("optimize_plans", True),
-        bucket_partial=payload.get("bucket_partial", True),
-        serve_reduced=payload.get("serve_reduced", False))
+        bucket_partial=payload.get("bucket_partial", True))
     plans: Dict[int, ExecutionPlan] = payload["plans"]
-    reduced_plans: Dict[int, ExecutionPlan] = payload.get("reduced", {})
     arena_bytes = max(
         [p.arena_total for p in plans.values()] + [payload["arena_hint"]])
     arena = ShmArena(arena_bytes, name=f"{token}-arena")
@@ -308,9 +306,6 @@ def _child_main(conn, payload_bytes: bytes) -> None:
     for plan in plans.values():
         key = plan.slots[plan.inputs[0]].shape
         engine._plans[key] = CompiledForward(plan, arena)
-    for plan in reduced_plans.values():
-        key = plan.slots[plan.inputs[0]].shape
-        engine._reduced[key] = CompiledForward(plan, arena)
 
     response = _Segment(token, "r")
     request = _Attached()
@@ -351,8 +346,7 @@ def _child_main(conn, payload_bytes: bytes) -> None:
                     conn.send(("ok", seg.name, out_descs, batch_seconds,
                                [r.inference_seconds for r in results],
                                [r.compiled for r in results],
-                               [r.plan_batch for r in results],
-                               [r.reduced for r in results]))
+                               [r.plan_batch for r in results]))
                 elif op == "compile":
                     engine.compile(msg[1])
                     conn.send(("ok", engine.compiled_batches))
@@ -364,7 +358,9 @@ def _child_main(conn, payload_bytes: bytes) -> None:
                     conn.send(("ok", engine.plan_stats()))
                 else:
                     conn.send(("err", f"unknown op {op!r}"))
-            except BaseException:        # noqa: BLE001 — report, keep serving
+            except Exception:  # noqa: BLE001 — report, keep serving
+                # Exception only: KeyboardInterrupt/SystemExit must
+                # propagate so the child can actually be stopped
                 try:
                     conn.send(("err", traceback.format_exc()))
                 except (BrokenPipeError, OSError):
@@ -420,8 +416,7 @@ class ProcessWorker:
     def __init__(self, engine, warm_batches: Sequence[int] = (),
                  mp_context: str = "spawn", spawn_timeout: float = 120.0,
                  on_death: Optional[Callable[["ProcessWorker"], None]] = None,
-                 request_timeout: Optional[float] = None,
-                 serve_reduced: bool = False):
+                 request_timeout: Optional[float] = None):
         for attr in ("model", "normalizer", "boundary_width"):
             if not hasattr(engine, attr):
                 raise TypeError(
@@ -449,11 +444,6 @@ class ProcessWorker:
                       | set(getattr(engine, "compiled_batches", None) or []))
         plans = {b: engine.compile(b).plan for b in warm}
         self._compiled = set(warm)
-        reduced = {}
-        if hasattr(engine, "_reduced"):
-            with engine._plan_lock:
-                reduced = {k[0]: cf.plan
-                           for k, cf in engine._reduced.items()}
         payload = pickle.dumps({
             "token": self._token,
             "model": engine.model,
@@ -464,9 +454,6 @@ class ProcessWorker:
             # itself) exactly the way the in-process tier would
             "optimize_plans": getattr(engine, "optimize_plans", True),
             "bucket_partial": getattr(engine, "bucket_partial", True),
-            # route to the (gated, shipped) reduced variants on request
-            "serve_reduced": bool(serve_reduced),
-            "reduced": reduced,
             "plans": plans,
             "arena_hint": max((p.arena_total for p in plans.values()),
                               default=0),
@@ -547,16 +534,15 @@ class ProcessWorker:
                 raise ProcessWorkerError(
                     f"worker pid {self.pid} failed a batch:\n{msg[1]}")
             _, res_name, out_descs, batch_seconds, secs, compiled, \
-                plan_batches, reduced = msg
+                plan_batches = msg
             res_seg = self._attach_response(res_name)
             results = []
-            for wdescs, sec, comp, pb, rd in zip(out_descs, secs,
-                                                 compiled, plan_batches,
-                                                 reduced):
+            for wdescs, sec, comp, pb in zip(out_descs, secs, compiled,
+                                             plan_batches):
                 fields = FieldWindow(*(_read(res_seg, d, copy=True)
                                        for d in wdescs))
                 results.append(ForecastResult(fields, sec, compiled=comp,
-                                              plan_batch=pb, reduced=rd))
+                                              plan_batch=pb))
                 self.marshal_bytes += sum(
                     getattr(fields, v).nbytes
                     for v in ("u3", "v3", "w3", "zeta"))

@@ -168,9 +168,6 @@ class BatchRecord:
     #: batch size of the plan bucket that served it (= ``size`` on an
     #: exact hit, larger when the batch padded up); ``None`` when eager
     plan_batch: Optional[int] = None
-    #: served by an accuracy-gated reduced-precision plan variant
-    #: (only possible with ``serve_reduced`` routing on)
-    reduced: bool = False
     #: "forecast" (engine.forecast_batch) or "gradient"
     #: (engine.sensitivity_batch) — gradient batches feed the
     #: ``grad_batches`` / ``backward_seconds`` counters
@@ -234,13 +231,6 @@ class ServeMetrics:
         """Micro-batches served by a compiled inference plan (plan-cache
         hits at the granularity metrics are kept at)."""
         return sum(b.compiled for b in self.batches)
-
-    @property
-    def reduced_batches(self) -> int:
-        """Micro-batches served by an accuracy-gated reduced-precision
-        plan variant (``serve_reduced`` routing); 0 when the knob is
-        off — the default, bitwise-exact configuration."""
-        return sum(b.reduced for b in self.batches)
 
     @property
     def grad_batches(self) -> int:
@@ -327,7 +317,6 @@ class ServeMetrics:
             "net_wait_s": self.net_wait_s,
             "frame_bytes": self.frame_bytes,
             "inflight_depth": self.inflight_depth,
-            "reduced_batches": self.reduced_batches,
             "grad_batches": self.grad_batches,
             "backward_seconds": self.backward_seconds,
         }
@@ -612,8 +601,6 @@ class MicroBatchScheduler:
             getattr(results[0], "compiled", False)
         plan_batch = getattr(results[0], "plan_batch", None) \
             if compiled else None
-        reduced = failure is None and bool(results) and \
-            getattr(results[0], "reduced", False)
         transport = getattr(self.engine, "transport_stats", None)
         if transport is not None:
             # process/host-backed executors keep cumulative counters;
@@ -644,7 +631,7 @@ class MicroBatchScheduler:
                 request_ids=tuple(r.future.request_id for r in batch),
                 seconds=seconds, trigger=trigger,
                 failed=failure is not None, compiled=compiled,
-                plan_batch=plan_batch, reduced=reduced, kind=kind))
+                plan_batch=plan_batch, kind=kind))
             for req in batch:
                 self.metrics.requests.append(RequestRecord(
                     request_id=req.future.request_id, batch_index=index,

@@ -103,10 +103,6 @@ class ForecastServer:
         selects ``"socket"`` wire or the deterministic ``"sim"``
         fabric).  See :class:`~repro.serve.pool.EngineWorkerPool` and
         ``docs/serving.md``.  Default stays ``"thread"``.
-    serve_reduced: route batches to installed accuracy-gated
-        reduced-precision plan variants (off by default — results stay
-        bitwise-identical unless explicitly opted in; see
-        :meth:`~repro.workflow.engine.ForecastEngine.compile_reduced`).
     autostart: ``False`` makes every replica scheduler manual — no
         worker threads; callers drive batching explicitly through
         :meth:`flush`.  The deterministic mode the scenario harness's
@@ -126,8 +122,7 @@ class ForecastServer:
                  max_queue: int = 32,
                  warm_plans: Optional[bool] = None,
                  backend: str = "thread", mp_context: str = "spawn",
-                 fabric: str = "socket", serve_reduced: bool = False,
-                 autostart: bool = True):
+                 fabric: str = "socket", autostart: bool = True):
         if warm_plans is None:
             candidates = engine if isinstance(engine, (list, tuple)) \
                 else [engine]
@@ -137,9 +132,7 @@ class ForecastServer:
                                      max_queue=max_queue, router=router,
                                      warm_plans=warm_plans,
                                      backend=backend, mp_context=mp_context,
-                                     fabric=fabric,
-                                     serve_reduced=serve_reduced,
-                                     autostart=autostart)
+                                     fabric=fabric, autostart=autostart)
         self.cache = ForecastCache(cache_bytes) if cache_bytes > 0 else None
         self.ocean = ocean
         self.verifier = verifier

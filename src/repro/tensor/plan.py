@@ -28,16 +28,14 @@ the dynamic machinery:
   physical buffers from a size-keyed :class:`BufferArena` once, then
   :meth:`PlanExecutor.run` replays the steps on raw ``np.ndarray``\\ s:
   no Tensor objects, no graph bookkeeping, outputs written in place
-  into the reused slots.  Steps marked row-parallel (heavy elementwise
-  kernels — GELU's ``erf`` above all) are chunked over the leading
-  axis onto a shared thread pool on multi-core hosts; chunks are
-  disjoint, so results stay identical to the serial replay.
+  into the reused slots, one kernel call per step on the calling
+  thread.
 
 Replay is **bitwise identical** to the eager path by construction:
 under trace the eager value is computed *by the same kernel function*
 that replay calls, and every kernel reproduces the exact NumPy
-expression of the eager inference fast path (GEMMs are never split or
-reordered — only elementwise work is chunked).
+expression of the eager inference fast path (no kernel is ever split
+or reordered).
 
 Kernels register here for the generic tensor ops and from the modules
 that own them (:mod:`repro.tensor.ops_conv` registers the conv-GEMM
@@ -48,9 +46,9 @@ kernels its optimisation passes substitute in) via
 
 A finalized plan is also an optimisation substrate:
 :mod:`repro.tensor.plan_passes` rewrites the step list (elementwise
-fusion, constant folding, dead-step elimination, reduced-precision
-variants) and calls :func:`repack` to re-run the liveness analysis and
-arena assignment over the rewritten program.  Fused steps may own
+fusion, constant folding, dead-step elimination) and calls
+:func:`repack` to re-run the liveness analysis and arena assignment
+over the rewritten program.  Fused steps may own
 *scratch* slots (``Step.scratch``): arena buffers written and read
 only inside that one step, placed by the packer with a lifetime of
 exactly that step.
@@ -64,10 +62,8 @@ grad-mode switches are bound at import time through
 from __future__ import annotations
 
 import importlib
-import os
 import pickle
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -126,7 +122,6 @@ KERNEL_KINDS = ("compute", "fresh", "view", "movement", "inplace")
 class Kernel:
     fn: Callable
     kind: str
-    rowwise: bool = False     # safe to chunk over the leading axis
     nonview: str = "fresh"    # movement kernels: kind when not a view
 
 
@@ -134,16 +129,13 @@ class Kernel:
 KERNELS: Dict[str, Kernel] = {}
 
 
-def register_kernel(name: str, kind: str, rowwise: bool = False,
-                    nonview: str = "fresh"):
+def register_kernel(name: str, kind: str, nonview: str = "fresh"):
     """Register ``fn(out, ins, consts) -> np.ndarray`` as a kernel.
 
     ``out`` is the preallocated output buffer for ``compute`` kernels
     (``None`` at trace time, when the kernel must allocate); ``ins`` is
     the tuple of input arrays; ``consts`` the static argument dict
-    captured at trace time.  ``rowwise`` marks elementwise/last-axis
-    kernels whose leading axis may be chunked across threads without
-    changing any output bit.
+    captured at trace time.
     """
     if kind not in KERNEL_KINDS:
         raise ValueError(f"unknown kernel kind {kind!r}")
@@ -151,7 +143,7 @@ def register_kernel(name: str, kind: str, rowwise: bool = False,
     def deco(fn):
         if name in KERNELS:
             raise ValueError(f"kernel {name!r} already registered")
-        KERNELS[name] = Kernel(fn, kind, rowwise, nonview)
+        KERNELS[name] = Kernel(fn, kind, nonview)
         return fn
     return deco
 
@@ -165,32 +157,6 @@ _state = threading.local()
 def tracing() -> bool:
     """Whether a plan is being recorded on this thread."""
     return getattr(_state, "builder", None) is not None
-
-
-# ----------------------------------------------------------------------
-# shared elementwise thread pool (multi-core replays only)
-# ----------------------------------------------------------------------
-#: a rowwise step is chunked only when its output is at least this big
-PARALLEL_MIN_BYTES = 1 << 17
-
-_pool_lock = threading.Lock()
-_pool: Optional[ThreadPoolExecutor] = None
-_pool_workers = 0
-
-
-def _shared_pool() -> Optional[ThreadPoolExecutor]:
-    """Lazy process-wide worker pool; ``None`` on single-core hosts."""
-    global _pool, _pool_workers
-    cores = os.cpu_count() or 1
-    if cores < 2:
-        return None
-    with _pool_lock:
-        if _pool is None:
-            _pool_workers = min(cores, 8)
-            _pool = ThreadPoolExecutor(
-                max_workers=_pool_workers,
-                thread_name_prefix="plan-elementwise")
-    return _pool
 
 
 # ----------------------------------------------------------------------
@@ -225,7 +191,6 @@ class Step:
     #: inputs, each ("s", slot_id) or ("c", const_id)
     ins: Tuple[Tuple[str, int], ...]
     consts: Dict[str, Any] = field(default_factory=dict)
-    rowwise: bool = False
     #: arena slots used only inside this step (fused kernels' internal
     #: temporaries); placed by :func:`repack` with a lifetime of
     #: exactly this step and passed to the kernel appended to ``ins``
@@ -359,8 +324,7 @@ class ExecutionPlan:
     def __getstate__(self) -> Dict[str, Any]:
         return {
             "slots": self.slots,
-            "steps": [(s.name, s.kind, s.out, s.ins, s.consts, s.rowwise,
-                       s.scratch)
+            "steps": [(s.name, s.kind, s.out, s.ins, s.consts, s.scratch)
                       for s in self.steps],
             "inputs": self.inputs,
             "outputs": self.outputs,
@@ -373,8 +337,7 @@ class ExecutionPlan:
         _ensure_kernels_registered()
         steps = []
         for rec in state["steps"]:
-            name, kind, out, ins, consts, rowwise = rec[:6]
-            scratch = tuple(rec[6]) if len(rec) > 6 else ()
+            name, kind, out, ins, consts, scratch = rec
             kernel = KERNELS.get(name)
             if kernel is None:
                 raise TraceError(
@@ -382,7 +345,7 @@ class ExecutionPlan:
                     "registered in this process (import the module that "
                     "registers it before loading the plan)")
             steps.append(Step(name, kernel.fn, kind, out, ins, consts,
-                              rowwise, scratch))
+                              tuple(scratch)))
         self.slots = state["slots"]
         self.steps = steps
         self.inputs = state["inputs"]
@@ -479,7 +442,7 @@ class PlanBuilder:
         else:
             out = self._new_slot(out_arr, kind)
         self.steps.append(Step(name, kernel.fn, kind, out, tuple(ins),
-                               dict(consts), kernel.rowwise))
+                               dict(consts)))
         return out
 
     # -- finalize: liveness → physical buffer assignment ----------------
@@ -730,16 +693,10 @@ class PlanExecutor:
     callers each use their own executor (see
     ``workflow.engine.CompiledForward``).  :meth:`run` outputs are
     views into those buffers, valid until the next :meth:`run`.
-
-    ``parallel=None`` (the default) chunks row-parallel steps across
-    the shared elementwise thread pool when the host has more than one
-    core; pass ``False`` to force serial replay (results are identical
-    either way — chunks are disjoint rows).
     """
 
     def __init__(self, plan: ExecutionPlan,
-                 arena: Optional[BufferArena] = None,
-                 parallel: Optional[bool] = None):
+                 arena: Optional[BufferArena] = None):
         self.plan = plan
         self._arena = arena
         if arena is None:
@@ -747,11 +704,9 @@ class PlanExecutor:
         else:
             self._blob = arena.take(plan.arena_total)
         self._env: List[Optional[np.ndarray]] = [None] * plan.n_slots
-        pool = _shared_pool() if parallel in (None, True) else None
-        self._pool = pool
 
         # precompile the program: resolve constants, bind output views
-        # into the arena blob, precompute row-chunk bounds
+        # into the arena blob
         consts = plan.const_arrays
         prog = []
         for i, step in enumerate(plan.steps):
@@ -770,20 +725,8 @@ class PlanExecutor:
                                plan.slots[s].phys + plan.slots[s].nbytes]
                     .view(plan.slots[s].dtype).reshape(plan.slots[s].shape)
                     for s in step.scratch)
-            bounds = None
-            if pool is not None and step.rowwise \
-                    and spec.nbytes >= PARALLEL_MIN_BYTES \
-                    and len(spec.shape) >= 2 and spec.shape[0] >= 2:
-                axis = step.consts.get("axis", -1)
-                if isinstance(axis, int) and axis % len(spec.shape) != 0:
-                    n = min(_pool_workers, spec.shape[0])
-                    edges = np.linspace(0, spec.shape[0], n + 1, dtype=int)
-                    bounds = tuple((int(lo), int(hi)) for lo, hi
-                                   in zip(edges[:-1], edges[1:])
-                                   if hi > lo)
             prog.append((step.fn, step.out, ins_spec, step.consts,
-                         out_view, plan.step_releases[i], bounds,
-                         spec.shape))
+                         out_view, plan.step_releases[i]))
         self._prog = prog
 
     def release(self) -> None:
@@ -810,40 +753,12 @@ class PlanExecutor:
                     f"{spec.shape} {spec.dtype}, got {arr.shape} "
                     f"{arr.dtype} (contiguous={arr.flags.c_contiguous})")
             env[sid] = arr
-        pool = self._pool
-        for fn, out_slot, ins_spec, consts, out, rel, bounds, shape \
-                in self._prog:
+        for fn, out_slot, ins_spec, consts, out, rel in self._prog:
             ins = tuple(env[r] if type(r) is int else r for r in ins_spec)
-            if bounds is None:
-                env[out_slot] = fn(out, ins, consts)
-            else:
-                env[out_slot] = self._run_chunked(
-                    pool, fn, out, ins, consts, bounds, shape)
+            env[out_slot] = fn(out, ins, consts)
             for sid in rel:
                 env[sid] = None      # fresh/view buffers free like eager
         return [env[s] for s in plan.outputs]
-
-    @staticmethod
-    def _run_chunked(pool, fn, out, ins, consts, bounds, shape):
-        """Fan a rowwise step over disjoint leading-axis chunks.
-
-        Inputs spanning the output's leading axis (same rank, same
-        leading extent — trailing axes may still broadcast) are
-        chunked; everything else (biases, leading-broadcast operands,
-        lower-rank constants) passes through whole and broadcasts per
-        chunk.  Disjoint rows ⇒ bit-identical to the serial call.
-        """
-        ndim, rows = len(shape), shape[0]
-        futures = []
-        for lo, hi in bounds:
-            o = out[lo:hi] if out is not None else None
-            cins = tuple(
-                a[lo:hi] if a.ndim == ndim and a.shape[0] == rows else a
-                for a in ins)
-            futures.append(pool.submit(fn, o, cins, consts))
-        for f in futures:
-            f.result()
-        return out if out is not None else ins[0]
 
 
 # ----------------------------------------------------------------------
@@ -852,7 +767,7 @@ class PlanExecutor:
 # expression bit for bit)
 # ----------------------------------------------------------------------
 def _binary(name, ufunc):
-    @register_kernel(name, "compute", rowwise=True)
+    @register_kernel(name, "compute")
     def _k(out, ins, consts):
         return ufunc(ins[0], ins[1], out=out)
     return _k
@@ -866,7 +781,7 @@ _binary("maximum", np.maximum)
 
 
 def _unary(name, ufunc):
-    @register_kernel(name, "compute", rowwise=True)
+    @register_kernel(name, "compute")
     def _k(out, ins, consts):
         return ufunc(ins[0], out=out)
     return _k
@@ -882,24 +797,23 @@ _unary("tanh", np.tanh)
 _unary("abs", np.abs)
 
 
-@register_kernel("pow", "compute", rowwise=True)
+@register_kernel("pow", "compute")
 def _k_pow(out, ins, consts):
     return np.power(ins[0], consts["exponent"], out=out)
 
 
 @register_kernel("matmul", "compute")
 def _k_matmul(out, ins, consts):
-    # never chunked: BLAS blocking must stay identical to the eager call
     return np.matmul(ins[0], ins[1], out=out)
 
 
-@register_kernel("relu", "compute", rowwise=True)
+@register_kernel("relu", "compute")
 def _k_relu(out, ins, consts):
     # eager computes x * (x > 0); keep the exact same expression
     return np.multiply(ins[0], ins[0] > 0, out=out)
 
 
-@register_kernel("clip", "compute", rowwise=True)
+@register_kernel("clip", "compute")
 def _k_clip(out, ins, consts):
     return np.clip(ins[0], consts["lo"], consts["hi"], out=out)
 
@@ -922,7 +836,7 @@ def _k_max(out, ins, consts):
     return r.squeeze(axis=ax)
 
 
-@register_kernel("softmax", "compute", rowwise=True)
+@register_kernel("softmax", "compute")
 def _k_softmax(out, ins, consts):
     a = ins[0]
     p = np.subtract(a, a.max(axis=consts["axis"], keepdims=True), out=out)
@@ -1006,14 +920,14 @@ def _k_astype(out, ins, consts):
     return ins[0].astype(consts["dtype"])
 
 
-@register_kernel("iadd", "inplace", rowwise=True)
+@register_kernel("iadd", "inplace")
 def _k_iadd(out, ins, consts):
     t = ins[0]
     t += ins[1]
     return t
 
 
-@register_kernel("imul_scalar", "inplace", rowwise=True)
+@register_kernel("imul_scalar", "inplace")
 def _k_imul_scalar(out, ins, consts):
     t = ins[0]
     t *= consts["scale"]

@@ -3,7 +3,7 @@
 A finalized :class:`~repro.tensor.plan.ExecutionPlan` is a flat IR —
 numbered value slots, a step list of registered kernels, a liveness
 analysis.  This module optimises that IR the way an inference compiler
-would, in three independent layers:
+would, in two independent layers:
 
 * **peephole fusion** (:func:`fuse_elementwise`) — adjacent
   producer/consumer step pairs from a fixed pattern table collapse
@@ -23,15 +23,6 @@ would, in three independent layers:
   a plan output) are dropped.  Both are no-ops on a fresh model trace
   (the tracer already folds constants and records no unused ops) but
   keep rewritten plans clean.
-* **reduced-precision variants** (:func:`cast_plan`) — a cloned plan
-  whose floating slots, constants and baked arrays are narrowed to a
-  target dtype (float32 for a float64-traced program, float16 storage
-  for the already-float32 model forward).  Explicit float64
-  accumulation the trace demanded (``astype`` steps to float64) is
-  preserved.  Variants are NOT bitwise and must pass an accuracy gate
-  before serving — see
-  :meth:`~repro.workflow.engine.ForecastEngine.compile_reduced`, which
-  gates against :mod:`repro.eval.metrics` tolerances.
 
 Batch-shape **bucketing** (:func:`plan_buckets`) is the policy side of
 the same layer: compile plans at a few canonical batch sizes, pad
@@ -47,13 +38,12 @@ release lists always describe the rewritten program.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 from scipy import special as _sp_special
 
-from .plan import (ExecutionPlan, KERNELS, SlotSpec, Step, TraceError,
-                   register_kernel, repack)
+from .plan import ExecutionPlan, KERNELS, Step, register_kernel, repack
 
 __all__ = [
     "plan_buckets",
@@ -62,7 +52,6 @@ __all__ = [
     "fuse_elementwise",
     "fold_constants",
     "eliminate_dead_steps",
-    "cast_plan",
     "FUSION_PATTERNS",
 ]
 
@@ -240,7 +229,7 @@ def _k_matmul_bias_gelu(out, ins, consts):
     return _gelu_from(t, out)
 
 
-@register_kernel("bn_affine_gelu", "compute", rowwise=True)
+@register_kernel("bn_affine_gelu", "compute")
 def _k_bn_affine_gelu(out, ins, consts):
     # bn_affine ; gelu — folded BatchNorm into its activation
     x, tmp = ins
@@ -380,7 +369,7 @@ def fuse_elementwise(plan: ExecutionPlan) -> Dict[str, int]:
                 i += 1
                 continue
             plan.steps[i] = Step(fused_name, kernel.fn, "compute", out,
-                                 ins, consts, kernel.rowwise, scratch)
+                                 ins, consts, scratch)
             del plan.steps[i + 1]
             counts[fused_name] = counts.get(fused_name, 0) + 1
             changed = True
@@ -488,81 +477,3 @@ def optimize(plan: ExecutionPlan, *, fuse: bool = True, fold: bool = True,
     stats["steps_after"] = plan.n_steps
     stats["arena_bytes_after"] = plan.arena_total
     return plan, stats
-
-
-# ----------------------------------------------------------------------
-# reduced-precision variants
-# ----------------------------------------------------------------------
-def cast_plan(plan: ExecutionPlan, dtype) -> ExecutionPlan:
-    """Clone ``plan`` with floating storage narrowed to ``dtype``.
-
-    Every floating slot, baked constant and const-dict array wider
-    than the target narrows to it — float32 for a float64-traced
-    program, float16 storage for a float32 one — except float64
-    accumulation the trace demanded explicitly (``astype`` steps to
-    float64 and the slots/constants they feed keep their width).
-    NumPy's ufunc machinery still *computes* in the promoted dtype and
-    casts on store, so narrowing is a storage/bandwidth change, not a
-    change of kernel algebra.
-
-    The variant is NOT bitwise-identical to the source plan and must
-    be tolerance-gated before serving (see
-    :meth:`~repro.workflow.engine.ForecastEngine.compile_reduced`).
-    The source plan is left untouched and keeps its guarantee.  Input
-    slots narrow too: callers must feed ``dtype`` inputs.
-    """
-    target = np.dtype(dtype)
-    if target.kind != "f":
-        raise ValueError(
-            f"cast_plan() targets a float dtype, got {target}")
-
-    slots = [SlotSpec(s.shape, s.dtype, s.kind, s.root) for s in plan.slots]
-    steps = [Step(s.name, s.fn, s.kind, s.out, s.ins, dict(s.consts),
-                  s.rowwise, s.scratch) for s in plan.steps]
-    out = ExecutionPlan(slots, steps, list(plan.inputs),
-                        list(plan.outputs), list(plan.const_arrays))
-
-    # float64 accumulation the trace demanded: explicit astype steps to
-    # float64 keep their width, as does everything aliasing their output
-    preserve = set()
-    for st in steps:
-        if st.name == "astype" \
-                and np.dtype(st.consts["dtype"]) == np.float64 \
-                and target.itemsize < np.dtype(np.float64).itemsize:
-            preserve.add(slots[st.out].root)
-
-    def narrows(dt: np.dtype) -> bool:
-        return dt.kind == "f" and dt.itemsize > target.itemsize
-
-    for spec in slots:
-        if narrows(spec.dtype) and spec.root not in preserve:
-            spec.dtype = target
-
-    # constants consumed only by preserved (float64) steps keep their
-    # width; everything else narrows
-    keep_wide = {ref for st in steps
-                 if slots[st.out].root in preserve
-                 for tag, ref in st.ins if tag == "c"}
-    consts: List[np.ndarray] = []
-    for cid, arr in enumerate(plan.const_arrays):
-        if narrows(arr.dtype) and cid not in keep_wide:
-            cast = np.ascontiguousarray(arr.astype(target))
-            cast.flags.writeable = False
-            consts.append(cast)
-        else:
-            consts.append(arr)
-    out.const_arrays = consts
-
-    for st in steps:
-        if slots[st.out].root in preserve:
-            continue
-        for k, v in list(st.consts.items()):
-            if isinstance(v, np.ndarray) and narrows(v.dtype):
-                st.consts[k] = v.astype(target)
-        if st.name == "astype":
-            dt = np.dtype(st.consts["dtype"])
-            if narrows(dt):
-                st.consts = dict(st.consts, dtype=target)
-
-    repack(out)
-    return out

@@ -5,7 +5,7 @@ The invariant under test everywhere is **bitwise equality**: a compiled
 plan replays the exact NumPy expressions of the eager inference path,
 so every field of every result must be ``np.array_equal`` to the eager
 one — for plain, ensemble, and hybrid requests, under every pool
-routing policy, serial or thread-chunked replay.
+routing policy.
 """
 
 import threading
@@ -394,66 +394,17 @@ class TestEngineCompiled:
         assert stats["hits"] == 8 and stats["plans"] == 1
 
 
-class TestParallelReplay:
-    def test_chunked_replay_bitwise_equal_serial(self, monkeypatch,
-                                                 tiny_surrogate, windows):
-        """Force the elementwise thread pool on and drop the size
-        threshold so chunking actually triggers at test scale; results
-        must not change by a bit."""
-        norm = Normalizer({v: 0.0 for v in VARS}, {v: 1.0 for v in VARS})
-        eager = ForecastEngine(tiny_surrogate, norm)
-        want = eager.forecast_batch(windows[:4])
-
-        monkeypatch.setattr(plan_mod.os, "cpu_count", lambda: 4)
-        monkeypatch.setattr(plan_mod, "PARALLEL_MIN_BYTES", 1)
-        saved_pool, saved_workers = plan_mod._pool, plan_mod._pool_workers
-        monkeypatch.setattr(plan_mod, "_pool", None)
-        try:
-            engine = ForecastEngine(tiny_surrogate, norm)
-            engine.compile(4)
-            got = engine.forecast_batch(windows[:4])
-            assert got[0].compiled
-            # the pool really engaged (at least one step was chunked)
-            cf = engine.compile(4)
-            ex = cf.acquire()
-            try:
-                assert any(bounds is not None and len(bounds) > 1
-                           for *_, bounds, _ in ex._prog)
-            finally:
-                cf.release(ex)
-            for g, w in zip(got, want):
-                assert_windows_equal(g.fields, w.fields)
-        finally:
-            pool = plan_mod._pool
-            if pool is not None:
-                pool.shutdown(wait=True)
-            plan_mod._pool = saved_pool
-            plan_mod._pool_workers = saved_workers
-
-    def test_chunked_broadcast_broadcast_binary(self, monkeypatch):
-        """A rowwise binary op where *neither* operand matches the
-        output shape: the leading-broadcast operand must pass through
-        whole while the row-spanning one is sliced."""
-        monkeypatch.setattr(plan_mod.os, "cpu_count", lambda: 4)
-        monkeypatch.setattr(plan_mod, "PARALLEL_MIN_BYTES", 1)
-        saved_pool, saved_workers = plan_mod._pool, plan_mod._pool_workers
-        monkeypatch.setattr(plan_mod, "_pool", None)
-        try:
-            a = np.arange(8, dtype=np.float32).reshape(8, 1, 1) \
-                * np.ones((8, 1, 4), np.float32)        # (8, 1, 4)
-            b = np.arange(12, dtype=np.float32).reshape(1, 3, 4)
-            plan, _ = trace(lambda x, y: (x + y) * 1.0, (a, b))
-            ex = PlanExecutor(plan)
-            assert any(bounds is not None
-                       for *_, bounds, _ in ex._prog)
-            (got,) = ex.run((a, b))
-            assert np.array_equal(got, (a + b) * 1.0)
-        finally:
-            pool = plan_mod._pool
-            if pool is not None:
-                pool.shutdown(wait=True)
-            plan_mod._pool = saved_pool
-            plan_mod._pool_workers = saved_workers
+class TestSerialReplay:
+    def test_replay_starts_no_threads(self, engine, windows):
+        """Replay runs every step on the calling thread: a B=8 plan at
+        serving scale leaves no worker thread behind."""
+        before = threading.active_count()
+        engine.compile(8)
+        for _ in range(2):
+            assert engine.forecast_batch(windows[:8])[0].compiled
+        assert not [t.name for t in threading.enumerate()
+                    if t.name.startswith("plan-elementwise")]
+        assert threading.active_count() <= before
 
 
 class TestServedPlans:
