@@ -13,13 +13,16 @@ that converts per-call speed into system throughput:
   queues, explicit shed-with-retry-after backpressure, and the
   control plane: a dynamic worker set plus zero-downtime versioned
   deploys (``EngineWorkerPool.deploy``);
+- :mod:`repro.serve.remote` — the one remote-worker protocol behind
+  the process and host tiers: the payload (weights + compiled plans,
+  shipped once), the engine rebuilt from it, the op table, the serve
+  loop, and the ``RemoteWorker`` client base;
 - :mod:`repro.serve.procpool` — the ``backend="process"`` execution
-  tier: each replica's engine in a child process (weights + compiled
-  plans shipped once, arena in shared memory, per-batch traffic as
-  shared-memory descriptors), escaping the GIL the thread backend
-  serialises on;
+  tier: the protocol's shared-memory transport (per-batch traffic as
+  shared-memory descriptors over a pipe) to a child process, escaping
+  the GIL the thread backend serialises on;
 - :mod:`repro.serve.hostpool` — the ``backend="host"`` execution
-  tier: each replica's engine on a remote rank behind the
+  tier: the protocol's frame transport to a remote rank behind the
   :mod:`repro.hpc.fabric` descriptor transport (socket wire or
   deterministic sim fabric), with pipelined request/response framing
   and heartbeat-based death detection;
@@ -62,7 +65,6 @@ from .procpool import (
     ProcessWorker,
     ProcessWorkerDied,
     ProcessWorkerError,
-    ShmArena,
 )
 from .scheduler import (
     BatchRecord,
@@ -96,7 +98,6 @@ __all__ = [
     "ProcessWorker",
     "ProcessWorkerError",
     "ProcessWorkerDied",
-    "ShmArena",
     "HostWorker",
     "HostWorkerError",
     "HostWorkerDied",

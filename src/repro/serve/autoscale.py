@@ -119,9 +119,9 @@ class AutoScaler:
     spawn_cost_s: wall-clock cost of bringing one replica back after a
         scale-down.  Thread replicas are just objects (cost ~0), but a
         process replica re-spawns an interpreter, re-ships weights and
-        plans, and re-maps its shared-memory arena — observed around a
-        second.  The scaler stretches its scale-down patience by the
-        number of ticks that cost spans
+        plans, and rebuilds its engine — observed around a second.  The
+        scaler stretches its scale-down patience by the number of ticks
+        that cost spans
         (``ceil(spawn_cost_s / interval)``), so an expensive-to-revive
         replica needs a proportionally longer quiet spell before it is
         drained — flapping one down and immediately needing it back

@@ -67,6 +67,7 @@ import hashlib
 import threading
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -560,8 +561,9 @@ class EngineWorkerPool:
         backend they all serialise on the GIL.  ``"process"`` wraps
         each replica's engine in a
         :class:`~repro.serve.procpool.ProcessWorker`: a child process
-        holding its own copy of the weights and compiled plans (arena
-        in shared memory), so replicas genuinely run in parallel.
+        holding its own copy of the weights and compiled plans
+        (per-batch arrays through shared memory), so replicas
+        genuinely run in parallel.
         ``"host"`` wraps each engine in a
         :class:`~repro.serve.hostpool.HostWorker`: a remote "rank"
         reached over the :mod:`repro.hpc.fabric` descriptor transport
@@ -903,28 +905,23 @@ class EngineWorkerPool:
     def _make_worker(self, engine, version: int) -> _Worker:
         """Construct one fully-warmed replica (not yet routable).
 
-        Process backend: the engine is wrapped in a
-        :class:`~repro.serve.procpool.ProcessWorker` whose child is
+        Process and host backends: the engine is wrapped in a
+        :class:`~repro.serve.procpool.ProcessWorker` or
+        :class:`~repro.serve.hostpool.HostWorker` whose remote is
         spawned, warmed (every plan already compiled on the engine
         ships with the payload, plus the whole ``max_batch`` bucket set
         when the pool warms plans — so partial batches hit compiled
         buckets from the first flush) and handshaken *here* — before
         the replica can become routable — so traffic never reaches a
-        cold or half-born child.
+        cold or half-born remote.
         """
         warm = self._warm_plans and hasattr(engine, "compile")
         executor = engine
-        if self.backend == "process":
-            executor = ProcessWorker(
+        if self.backend != "thread":
+            tier = partial(HostWorker, fabric=self._fabric) \
+                if self.backend == "host" else ProcessWorker
+            executor = tier(
                 engine,
-                warm_batches=_passes.plan_buckets(self._max_batch)
-                if warm else (),
-                mp_context=self._mp_context)
-            with self._route_lock:
-                self._spawn_log.append(executor.spawn_seconds)
-        elif self.backend == "host":
-            executor = HostWorker(
-                engine, fabric=self._fabric,
                 warm_batches=_passes.plan_buckets(self._max_batch)
                 if warm else (),
                 mp_context=self._mp_context)

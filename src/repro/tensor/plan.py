@@ -644,7 +644,10 @@ class BufferArena:
     returns them for the next one, so steady-state serving allocates
     nothing.  Buffers are raw byte blobs — a freed blob hosts any
     later request that fits (best-fit), whatever shape the slots view
-    it as.  Thread safety: :meth:`take`/:meth:`give` are locked; the
+    it as.  Blobs live on the heap of the process that replays the
+    plan — a remote worker's arena included: its results are copied
+    into the transport's reply, so no other process ever reads the
+    arena.  Thread safety: :meth:`take`/:meth:`give` are locked; the
     arrays themselves are handed out exclusively.
     """
 
@@ -664,12 +667,6 @@ class BufferArena:
                 return self._free.pop(fit)
             self.allocations += 1
             self.allocated_bytes += nbytes
-        return self._alloc(nbytes)
-
-    def _alloc(self, nbytes: int) -> np.ndarray:
-        """Allocate one fresh blob; subclasses override to place blobs
-        in alternative storage (e.g. a shared-memory segment — see
-        :class:`repro.serve.procpool.ShmArena`)."""
         return np.empty(nbytes, np.uint8)
 
     def give(self, blob: np.ndarray) -> None:
